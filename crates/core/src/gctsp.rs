@@ -20,6 +20,7 @@ use giant_text::ner::NerTag;
 use giant_text::pos::PosTag;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, OnceLock};
 
 /// GCTSP-Net hyper-parameters (defaults follow §5.2).
 #[derive(Debug, Clone, Copy)]
@@ -79,6 +80,10 @@ pub struct GctspNet {
     head: Linear,
     /// Cached pre-activation inputs of each R-GCN layer (for ReLU backward).
     cache_pre: Vec<Matrix>,
+    /// Every layer's relation weights `W_r`, built by the first inference
+    /// and dropped by [`GctspNet::params_mut`], the only path that changes
+    /// parameter values. Clones share one copy through the `Arc`.
+    relation_weights: OnceLock<Arc<Vec<Vec<Matrix>>>>,
 }
 
 impl GctspNet {
@@ -114,6 +119,7 @@ impl GctspNet {
             layers,
             head,
             cache_pre: Vec::new(),
+            relation_weights: OnceLock::new(),
         }
     }
 
@@ -191,9 +197,13 @@ impl GctspNet {
             &self.emb_seq.forward_inference(&seq),
         );
         let edges = Self::edges(qtig);
+        let weights = self.relation_weights.get_or_init(|| {
+            let per_layer = self.layers.iter().map(RgcnLayer::relation_weights);
+            Arc::new(per_layer.collect())
+        });
         let mut h = x;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward_inference(&h, &edges);
+        for (li, (layer, w_rel)) in self.layers.iter().zip(weights.iter()).enumerate() {
+            let pre = layer.forward_inference_with(&h, &edges, w_rel);
             h = if li + 1 < self.cfg.layers {
                 act::relu(&pre)
             } else {
@@ -227,6 +237,7 @@ impl GctspNet {
 
     /// All trainable parameters.
     pub fn params_mut(&mut self) -> Vec<&mut Parameter> {
+        self.relation_weights = OnceLock::new();
         let mut p = vec![
             &mut self.emb_pos.table,
             &mut self.emb_ner.table,
@@ -322,11 +333,37 @@ mod tests {
         let logits = net.forward(&q);
         assert_eq!(logits.rows(), q.n_nodes());
         assert_eq!(logits.cols(), 2);
-        // Inference forward is identical.
+        // Inference forward is bit-identical.
         let logits2 = net.forward_inference(&q);
-        for (a, b) in logits.data().iter().zip(logits2.data()) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert_eq!(bits(&logits), bits(&logits2));
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn relation_weight_cache_follows_parameter_updates() {
+        let q = qtig_of(&["miyazaki animated films", "famous miyazaki films"]);
+        let labels = q.binary_labels(&["miyazaki".to_owned(), "films".to_owned()]);
+        let examples = [(q.clone(), labels)];
+        let mut net = GctspNet::new(GctspConfig {
+            epochs: 2,
+            ..small_cfg(2)
+        });
+        net.train(&examples);
+        let fresh = net.clone();
+        let first = net.forward_inference(&q);
+        // A clone taken after inference shares the built weights.
+        assert_eq!(bits(&net.clone().forward_inference(&q)), bits(&first));
+        // Training again goes through `params_mut`, which must drop them.
+        net.train(&examples);
+        let retrained = net.forward_inference(&q);
+        assert_ne!(bits(&retrained), bits(&first));
+        let mut reference = fresh;
+        reference.train(&examples);
+        assert_eq!(bits(&retrained), bits(&reference.forward_inference(&q)));
+        assert_eq!(bits(&retrained), bits(&net.forward(&q)));
     }
 
     #[test]

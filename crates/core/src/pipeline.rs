@@ -527,8 +527,12 @@ fn mine_cluster_raw(
     if titles.is_empty() {
         return MineOutcome::Dead;
     }
+    let span = giant_obs::span("mine.qtig");
     let qtig = crate::train::build_cluster_qtig(&input.annotator, &queries, &titles);
+    drop(span);
+    let span = giant_obs::span("mine.gctsp");
     let positives = models.phrase_model.predict_positive_nodes(&qtig);
+    drop(span);
     let tokens = decode_tokens(&qtig, &positives);
     if tokens.is_empty() || tokens.iter().all(|t| stopwords.is_stop(t)) {
         return MineOutcome::Dead;
@@ -783,8 +787,12 @@ fn recognize_event_elements(
         };
         let tokens = out.mined[mi].tokens.clone();
         let infer = || -> Vec<EventRole> {
+            let span = giant_obs::span("event.qtig");
             let qtig = crate::train::build_cluster_qtig(&input.annotator, &queries, &titles);
+            drop(span);
+            let span = giant_obs::span("event.roles");
             let classes = models.role_model.predict_classes(&qtig);
+            drop(span);
             tokens
                 .iter()
                 .map(|t| {

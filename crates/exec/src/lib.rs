@@ -11,13 +11,10 @@
 //! * [`run_ordered`] — map a pure function over a slice on scoped worker
 //!   threads; results come back **in input order**, so downstream merging
 //!   is independent of the thread count and of OS scheduling.
-//! * [`run_ordered_seeded`] — the same, but each work item additionally
-//!   receives its own RNG whose stream is derived from `(base_seed, item
-//!   index)`. Randomized per-item work stays reproducible at any thread
-//!   count because the stream belongs to the *item*, never to the worker.
-//! * [`shard_seed`] / [`shard_rng`] — the stream-splitting primitive the
-//!   seeded runner is built on, exposed for stages that manage their own
-//!   threads.
+//! * [`shard_seed`] / [`shard_rng`] — the stream-splitting primitive for
+//!   randomized per-item work: keying the stream by `(base_seed, item
+//!   index)` keeps it reproducible at any thread count, because the
+//!   stream belongs to the *item*, never to the worker.
 //!
 //! ## Determinism contract
 //!
@@ -353,24 +350,6 @@ impl Drop for SetOnDrop<'_> {
     }
 }
 
-/// Like [`run_ordered`], but hands each work item a private RNG seeded
-/// from `(base_seed, item_index)` via [`shard_seed`].
-///
-/// Because the stream is keyed by the *item* and not the worker thread,
-/// randomized per-item work produces identical results at every thread
-/// count.
-pub fn run_ordered_seeded<I, O, F>(items: &[I], threads: usize, base_seed: u64, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&mut StdRng, usize, &I) -> O + Sync,
-{
-    run_ordered(items, threads, |i, item| {
-        let mut rng = shard_rng(base_seed, i as u64);
-        f(&mut rng, i, item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,20 +378,6 @@ mod tests {
             x
         });
         assert_eq!(got, items);
-    }
-
-    #[test]
-    fn seeded_run_is_thread_count_invariant() {
-        let items: Vec<u32> = (0..40).collect();
-        let baseline = run_ordered_seeded(&items, 1, 42, |rng, _, &x| {
-            (x, rng.random_range(0..1_000_000u64))
-        });
-        for threads in [2, 4, 7] {
-            let got = run_ordered_seeded(&items, threads, 42, |rng, _, &x| {
-                (x, rng.random_range(0..1_000_000u64))
-            });
-            assert_eq!(got, baseline, "threads={threads}");
-        }
     }
 
     #[test]

@@ -139,12 +139,99 @@ impl RgcnLayer {
         out
     }
 
-    /// Forward without caching.
+    /// Forward without caching: [`RgcnLayer::forward_inference_with`]
+    /// over freshly built relation weights.
     pub fn forward_inference(&self, x: &Matrix, edges: &[TypedEdge]) -> Matrix {
-        let (m, _) = self.aggregate(x, edges);
+        self.forward_inference_with(x, edges, &self.relation_weights())
+    }
+
+    /// Every relation's effective weight `W_r = Σ_b a_rb V_b`, indexed by
+    /// relation, for callers that run many inferences with fixed
+    /// parameters and pass the result to
+    /// [`RgcnLayer::forward_inference_with`].
+    pub fn relation_weights(&self) -> Vec<Matrix> {
+        (0..self.n_rels).map(|r| self.w_r(r)).collect()
+    }
+
+    /// Forward without caching, reading `W_r` from `w_rel` (the current
+    /// [`RgcnLayer::relation_weights`]); bit-identical to
+    /// [`RgcnLayer::forward`].
+    ///
+    /// A sparse kernel: edges are bucketed by relation with a stable
+    /// counting sort; per relation, `x[src] / c` is aggregated only into
+    /// the destination rows of one scratch buffer, and only those rows
+    /// are multiplied by `W_r` and added into `out`. Each touched row sees
+    /// the dense path's floating-point operations in the dense path's
+    /// order: relations ascending, input edge order within a `(rel, dst)`,
+    /// division by `c`, and a k-ascending product into a fresh `+0.0` row.
+    /// Rows without an in-edge under `r` would only add `+0.0`, which
+    /// leaves `out` unchanged because it never holds `-0.0`.
+    pub fn forward_inference_with(
+        &self,
+        x: &Matrix,
+        edges: &[TypedEdge],
+        w_rel: &[Matrix],
+    ) -> Matrix {
+        assert_eq!(w_rel.len(), self.n_rels, "one weight per relation");
+        let n = x.rows();
+        let (d_in, d_out) = (self.d_in(), self.d_out());
+        let mut start = vec![0usize; self.n_rels + 1];
+        for e in edges {
+            assert!(e.rel < self.n_rels, "relation {} out of range", e.rel);
+            assert!(e.src < n && e.dst < n, "edge node out of range");
+            start[e.rel + 1] += 1;
+        }
+        for r in 0..self.n_rels {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut by_rel = vec![(0usize, 0usize); edges.len()];
+        for e in edges {
+            by_rel[next[e.rel]] = (e.src, e.dst);
+            next[e.rel] += 1;
+        }
         let mut out = x.matmul(&self.self_w.value);
-        for (&r, mr) in &m {
-            out.add_assign(&mr.matmul(&self.w_r(r)));
+        let mut indeg = vec![0u32; n];
+        let mut dsts: Vec<usize> = Vec::new();
+        let mut agg = vec![0.0; n * d_in];
+        let mut prod = vec![0.0; d_out];
+        for r in 0..self.n_rels {
+            let rel_edges = &by_rel[start[r]..start[r + 1]];
+            if rel_edges.is_empty() {
+                continue;
+            }
+            for &(_, dst) in rel_edges {
+                if indeg[dst] == 0 {
+                    dsts.push(dst);
+                }
+                indeg[dst] += 1;
+            }
+            for &(src, dst) in rel_edges {
+                let c = f64::from(indeg[dst]);
+                let row = &mut agg[dst * d_in..(dst + 1) * d_in];
+                for (d, s) in row.iter_mut().zip(x.row(src)) {
+                    *d += s / c;
+                }
+            }
+            let w = &w_rel[r];
+            for &dst in &dsts {
+                let row = &mut agg[dst * d_in..(dst + 1) * d_in];
+                prod.fill(0.0);
+                for (k, &a) in row.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (o, &b) in prod.iter_mut().zip(w.row(k)) {
+                        *o += a * b;
+                    }
+                }
+                for (o, p) in out.row_mut(dst).iter_mut().zip(&prod) {
+                    *o += p;
+                }
+                row.fill(0.0);
+                indeg[dst] = 0;
+            }
+            dsts.clear();
         }
         out
     }
@@ -222,9 +309,9 @@ mod tests {
         let y1 = layer.forward(&x, &edges);
         let y2 = layer.forward_inference(&x, &edges);
         assert_eq!((y1.rows(), y1.cols()), (4, 5));
-        for (a, b) in y1.data().iter().zip(y2.data()) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y1), bits(&y2));
+        assert_eq!(bits(&y1), bits(&layer.forward_inference_with(&x, &edges, &layer.relation_weights())));
     }
 
     #[test]
